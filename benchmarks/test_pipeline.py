@@ -85,8 +85,6 @@ def test_pipeline_windows(benchmark, write_report):
                     "exposed_transfer_time": p.exposed_transfer_time,
                     "pipeline_flushes": p.pipeline_flushes,
                     "pipeline_max_batch": p.pipeline_max_batch,
-                    "estimate_cache_hits": p.estimate_cache_hits,
-                    "estimate_cache_misses": p.estimate_cache_misses,
                 }
                 for p in pts
             ],

@@ -363,7 +363,14 @@ def analyze_transfers(
         irredundant=irredundant,
     )
     strategy = choose_strategy(info)
-    parts = strategy.partitions(grid, n_gpus)
+    if cluster is not None:
+        # The runtime splits cluster launches per node first
+        # (repro.sched.graph.launch_partitions); model the same devices.
+        from repro.cluster.partition import hierarchical_partitions
+
+        parts = hierarchical_partitions(strategy, grid, cluster)
+    else:
+        parts = strategy.partitions(grid, n_gpus)
     enums = enums or EnumeratorTable.build(info, use_codegen=use_codegen)
     arrays = {p.name: p for p in info.kernel.array_params}
     oracle = oracle or ExactReadOracle(info)
@@ -397,6 +404,18 @@ def analyze_transfers(
             per_part[gpu] = [(lo * elem, hi * elem) for lo, hi in ranges]
         read_ranges[enum.array] = per_part
         summary.atoms[enum.array] = atomic_decomposition(per_part)
+    # Write byte ranges per (modelled array, partition), in update order;
+    # launch-invariant like the read ranges, so scanned once.
+    write_ranges: List[Tuple[SegmentTracker, int, List[Tuple[int, int]]]] = []
+    for enum in write_enums:
+        if enum.array not in trackers:
+            continue
+        extents, elem = meta[enum.array]
+        for gpu, part in enumerate(parts):
+            ranges, _ = enum.element_ranges(part, block, grid, scalars, extents)
+            write_ranges.append(
+                (trackers[enum.array], gpu, [(lo * elem, hi * elem) for lo, hi in ranges])
+            )
 
     for launch in range(launches):
         # Synchronization phase: plan (and apply sharer registration) in
@@ -443,16 +462,9 @@ def analyze_transfers(
                     tracker.add_sharer(seg.start, seg.end, gpu)
                 summary.flows.append(flow)
         # Update phase: every partition's writes invalidate sharer copies.
-        for enum in write_enums:
-            if enum.array not in trackers:
-                continue
-            tracker = trackers[enum.array]
-            extents, elem = meta[enum.array]
-            for gpu, part in enumerate(parts):
-                ranges, _ = enum.element_ranges(part, block, grid, scalars, extents)
-                byte_rngs = [(lo * elem, hi * elem) for lo, hi in ranges]
-                if byte_rngs:
-                    tracker.update_many(byte_rngs, gpu)
+        for tracker, gpu, byte_rngs in write_ranges:
+            if byte_rngs:
+                tracker.update_many(byte_rngs, gpu)
     return summary
 
 

@@ -524,8 +524,6 @@ def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
                     "exposed_transfer_time": p.exposed_transfer_time,
                     "pipeline_flushes": p.pipeline_flushes,
                     "pipeline_max_batch": p.pipeline_max_batch,
-                    "estimate_cache_hits": p.estimate_cache_hits,
-                    "estimate_cache_misses": p.estimate_cache_misses,
                 }
                 for p in points
             ],
@@ -1108,13 +1106,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             for p in pts
         ]
         if args.json:
-            import json
-
-            json_path = (
-                args.json
-                if isinstance(args.json, str)
-                else "benchmarks/results/schedule_comparison.json"
-            )
             payload = [
                 {
                     "workload": p.workload,
@@ -1129,9 +1120,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 }
                 for p in pts
             ]
-            with open(json_path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-            print(f"wrote {json_path}")
+            write_json_report(
+                args.json, "benchmarks/results/schedule_comparison.json", payload
+            )
         print(format_table(headers, rows, title="Schedule comparison"))
         return 0
     if args.experiment == "figure6":

@@ -111,25 +111,11 @@ class Enumerator:
     scan: ScanFn
     param_order: Tuple[str, ...]
     exact: bool
-    #: Memoized scan results ``(ranges, emitted, vectorized)``: iterative
-    #: applications re-enumerate identical partitions every launch; the real
-    #: runtime's generated C code does so cheaply, here we cache the Python
-    #: scan (host *cost* is still charged per call by the runtime, from the
-    #: recorded emit count). The third slot remembers which backend produced
-    #: the entry so repeat requests attribute to the same counter.
-    _cache: Dict[Tuple, Tuple[List[FlatRange], int, bool]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: Whether cache misses may scan through the vectorized numpy backend
+    #: Whether scans may run through the vectorized numpy backend
     #: (repro.poly.vectorize). False pins the scalar scanner — the ablation
     #: path — and is also set when an interpreted table is requested.
     specialize: bool = True
-    #: Whether scans may be served from (and stored into) the memo above.
-    #: False re-scans every request — the no-cache overhead ablation, which
-    #: would otherwise understate the staged planner's savings because the
-    #: memo predates (and survives) ``plan_cache=False``.
-    memo: bool = True
-    #: Vectorized-backend state: "unbuilt" until the first miss, then
+    #: Vectorized-backend state: "unbuilt" until the first scan, then
     #: "ready" or "disabled" (program construction or a scan raised
     #: VectorizeError; scalar fallback from then on).
     _vec_state: str = field(default="unbuilt", repr=False, compare=False)
@@ -201,19 +187,13 @@ class Enumerator:
         the vectorized backend reproduces the same count without invoking a
         callback. ``stats`` (a ``RunStats``, optional) receives one
         ``enumerator_specialized``/``enumerator_fallback`` tick per request,
-        attributed to the backend that produced the result — deterministic
-        per call sequence even when another runtime already warmed the scan
-        cache.
+        attributed to the backend that produced the result. Every call
+        scans: repeated launches reuse scans through the runtime's skeleton
+        cache, not here.
         """
         if partition.is_empty:
             return [], 0
         params = self.pack_params(partition, block, grid, scalars)
-        key = (params, tuple(shape))
-        cached = self._cache.get(key) if self.memo else None
-        if cached is not None:
-            ranges, count, vectorized = cached
-            self._count(stats, vectorized)
-            return ranges, count
         strides = [1] * len(shape)
         for d in range(len(shape) - 2, -1, -1):
             strides[d] = strides[d + 1] * shape[d + 1]
@@ -232,8 +212,6 @@ class Enumerator:
             self.scan(params, emit)
             result = (merge_ranges(raw), count)
         self._count(stats, vectorized)
-        if self.memo and len(self._cache) < 4096:
-            self._cache[key] = (result[0], result[1], vectorized)
         return result
 
     @staticmethod
@@ -336,10 +314,6 @@ class EnumeratorTable:
             for (k, _, m), e in sorted(self._table.items())
             if k == kernel_name and m == mode
         ]
-
-    def all(self) -> List[Enumerator]:
-        """Every enumerator in the table, in deterministic key order."""
-        return [e for _, e in sorted(self._table.items())]
 
     def __len__(self) -> int:
         return len(self._table)

@@ -472,8 +472,6 @@ class PipelinePoint:
     #: Pipelined-executor counters from the sampled run.
     pipeline_flushes: int
     pipeline_max_batch: int
-    estimate_cache_hits: int
-    estimate_cache_misses: int
 
     @property
     def total_gpus(self) -> int:
@@ -531,8 +529,6 @@ def pipeline_study(
                 exposure["exposed"],
                 api.stats.pipeline_flushes,
                 api.stats.pipeline_max_batch,
-                api.stats.estimate_cache_hits,
-                api.stats.estimate_cache_misses,
             )
         )
 

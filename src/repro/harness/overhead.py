@@ -10,9 +10,9 @@ paper's single-GPU slowdown table:
   scans), tracker residual, and submit. A :class:`~repro.runtime.profiler.
   LaunchProfiler` splits per-launch microseconds by temperature — cold
   (plan-cache miss), warm (skeleton hit, residual re-derived) and replay
-  (skeleton + residual-cache hit) — and a run with every cache off,
-  *including the per-enumerator scan memo*, gives the honest
-  every-launch-pays-full-price baseline.
+  (skeleton + residual-cache hit) — and a run with both caches off gives
+  the every-launch-pays-full-price baseline: with no memo below the two
+  caches, every such launch re-partitions, re-scans and re-plans.
 * :func:`identity_sweep` — both caches must be bitwise-invisible.
   Functional hotspot runs with (a) the plan cache alone and (b) plan +
   residual replay are each compared against the all-caches-off oracle on
@@ -75,10 +75,9 @@ OVERHEAD_WORKLOADS: Dict[str, Tuple[int, int]] = {
 MIN_WARM_REDUCTION = 5.0
 
 #: Factor by which the warm path must undercut the all-caches-off steady
-#: state. The baseline run disables the plan cache, the residual cache
-#: *and* the per-enumerator scan memo — every launch re-partitions,
-#: re-scans and re-plans — so this bar sits well above the old
-#: memo-assisted 1.2x.
+#: state. The baseline run disables the plan cache and the residual cache
+#: — every launch re-partitions, re-scans and re-plans — so this bar sits
+#: well above the old memo-assisted 1.2x.
 MIN_NOCACHE_REDUCTION = 2.0
 
 #: Factor by which a residual-cache hit must cut the *residual* stage
@@ -105,9 +104,8 @@ class OverheadPoint:
     #: column comes from a ``residual_cache=False`` run — with replay on, a
     #: converged loop leaves the warm temperature almost empty — and the
     #: replay column from the fully-cached run. ``nocache_us`` is the
-    #: baseline with the plan cache, residual cache and enumerator memo all
-    #: disabled. Any column may be empty when no launch of that
-    #: temperature occurred.
+    #: baseline with the plan cache and residual cache both disabled. Any
+    #: column may be empty when no launch of that temperature occurred.
     cold_us: Dict[str, float]
     warm_us: Dict[str, float]
     replay_us: Dict[str, float]
@@ -153,15 +151,8 @@ def _timed_run(
     *,
     plan_cache: bool = True,
     residual_cache: bool = True,
-    enum_memo: bool = True,
 ) -> Tuple[LaunchProfiler, MultiGpuApi]:
-    """One machine-less timing-mode run with the launch profiler attached.
-
-    ``enum_memo=False`` additionally bypasses the per-enumerator scan memo
-    for the duration of the run (restored afterwards): the memo predates
-    the plan cache and survives ``plan_cache=False``, so leaving it warm
-    would understate the no-cache baseline.
-    """
+    """One machine-less timing-mode run with the launch profiler attached."""
     api = MultiGpuApi(
         app,
         RuntimeConfig(
@@ -172,14 +163,7 @@ def _timed_run(
     )
     profiler = LaunchProfiler()
     api.profiler = profiler
-    enums = app.enumerators.all()
-    try:
-        for enum in enums:
-            enum.memo = enum_memo
-        workload.run(api, None)
-    finally:
-        for enum in enums:
-            enum.memo = True
+    workload.run(api, None)
     return profiler, api
 
 
@@ -195,8 +179,8 @@ def launch_overhead_study(
     against it. Device work never runs — there is no machine — so the
     numbers isolate exactly the host path the staged planner restructured.
     Three runs per workload: fully cached (cold + replay temperatures),
-    ``residual_cache=False`` (the warm column) and everything off including
-    the enumerator memo (the honest baseline).
+    ``residual_cache=False`` (the warm column) and both caches off (the
+    honest baseline).
     """
     table = dict(OVERHEAD_WORKLOADS)
     if sizes:
@@ -214,8 +198,7 @@ def launch_overhead_study(
             app, registry[name](cfg), n_gpus, residual_cache=False
         )
         base_prof, _ = _timed_run(
-            app, registry[name](cfg), n_gpus,
-            plan_cache=False, residual_cache=False, enum_memo=False,
+            app, registry[name](cfg), n_gpus, plan_cache=False, residual_cache=False
         )
         points.append(
             OverheadPoint(

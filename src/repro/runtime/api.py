@@ -99,10 +99,6 @@ class RunStats:
     inter_node_bytes: int = 0
     #: Per-launch decisions of ``schedule="auto"``, keyed by policy name.
     auto_choices: Dict[str, int] = field(default_factory=dict)
-    #: Launch-plan time-estimate memoization (repro.sched.policy): hits
-    #: mean an identical launch shape was re-estimated from the cache.
-    estimate_cache_hits: int = 0
-    estimate_cache_misses: int = 0
     #: Plan-skeleton cache (repro.runtime.plancache): a hit means the
     #: launch reused cached partition/scan results and only ran the
     #: tracker residual; an eviction means a skeleton fell out of the LRU.
@@ -225,9 +221,6 @@ class MultiGpuApi:
         #: frontend): rotates the partition->device mapping so partition 0
         #: runs on this device. None keeps the default mapping.
         self._placement_offset: Optional[int] = None
-        #: Launch-plan time-estimate memo, keyed by the shared launch
-        #: fingerprint (repro.runtime.fingerprint).
-        self._estimate_cache: Dict[tuple, tuple] = {}
         #: Fingerprint-keyed plan-skeleton cache. Per-api (not per-app) so
         #: two runtimes sharing one compiled app — e.g. the serve path and
         #: its direct-reference twin — count identical hits and misses.

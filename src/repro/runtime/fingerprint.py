@@ -12,12 +12,16 @@ segments need copying) may differ.
 
 Virtual-buffer identities are deliberately *excluded*: an iterative stencil
 ping-ponging between two buffers converges to one steady-state fingerprint
-per parity, which is exactly what lets the plan cache and the time-estimate
-memo (:func:`repro.sched.policy.estimate_plan_times`) hit every iteration.
+per parity, which is exactly what lets the skeleton cache hit every
+iteration.
 
-This module replaces the ad-hoc ``plan_fingerprint`` hashing that used to
-live in ``repro.sched.policy`` so the plan cache, the estimate memo and the
-``auto`` selector can never disagree about what "the same launch" means.
+The fingerprint keys both halves of the staged planner: the skeleton cache
+directly, and the residual replay cache through :func:`residual_key`,
+which pairs it with a digest of the live trackers. Everything derived from
+a cached residual — the built plans and the ``schedule="auto"`` time
+estimate — is memoized on that residual's record
+(:class:`repro.sched.graph.ResidualRecord`), so no other memo needs a key
+of its own.
 """
 
 from __future__ import annotations
@@ -29,13 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cuda.dim3 import Dim3
     from repro.runtime.api import MultiGpuApi
     from repro.runtime.config import RuntimeConfig
-    from repro.sched.graph import LaunchPlan
 
 __all__ = [
     "PLANNING_CONFIG_FIELDS",
     "config_plan_key",
     "launch_fingerprint",
-    "plan_estimate_key",
     "residual_key",
 ]
 
@@ -101,25 +103,3 @@ def residual_key(fingerprint: tuple, digests: tuple) -> tuple:
     every launch.
     """
     return (fingerprint, digests)
-
-
-def plan_estimate_key(plan: "LaunchPlan") -> tuple:
-    """Key under which one plan's time estimate may be memoized.
-
-    The launch fingerprint pins the kernel, launch shape and partition
-    list; the transfer signature (source, destination, size per copy) adds
-    the tracker-dependent half the estimate prices. Plans built outside the
-    staged launch path (no fingerprint attached) fall back to an equivalent
-    structural key. Buffer identities never enter the key, so a ping-pong
-    iteration hits the memo from its second steady-state pass on.
-    """
-    base = plan.fingerprint
-    if base is None:
-        base = (
-            plan.ck.kernel.name,
-            (plan.grid.x, plan.grid.y, plan.grid.z),
-            (plan.block.x, plan.block.y, plan.block.z),
-            tuple(sorted(plan.scalars.items())),
-            tuple((k.gpu, k.part.n_blocks) for k in plan.kernels),
-        )
-    return (base, tuple((t.owner, t.gpu, t.nbytes) for t in plan.transfers))

@@ -90,13 +90,7 @@ def launch_partitioned(
     """
     assert ck.partitioned is not None
     from repro.runtime.fingerprint import launch_fingerprint, residual_key
-    from repro.sched.graph import (
-        REPLAY_PLAN_BINDINGS,
-        build_plan_skeleton,
-        instantiate_plan,
-        instantiate_plan_replay,
-        replay_query_counts,
-    )
+    from repro.sched.graph import build_plan_skeleton, instantiate_plan
 
     kernel = ck.kernel
     by_name, scalars = split_launch_args(kernel, args)
@@ -115,8 +109,7 @@ def launch_partitioned(
     if skel is None:
         t = perf_counter() if prof else 0.0
         skel = build_plan_skeleton(
-            api, ck, grid, block, scalars, fingerprint=key, validate=True,
-            stats=api.stats,
+            api, ck, grid, block, scalars, validate=True, stats=api.stats
         )
         if prof:
             times["skeleton"] = perf_counter() - t
@@ -136,7 +129,7 @@ def launch_partitioned(
 
     t = perf_counter() if prof else 0.0
     rcache = api.residual_cache
-    replay = False
+    record = None
     if rcache is not None:
         # Digest the live trackers over the skeleton's per-array read
         # envelope. Equal digests imply equal query results (segmentation
@@ -147,27 +140,14 @@ def launch_partitioned(
         )
         rkey = residual_key(key, digests)
         record = rcache.get(rkey)
-        if record is not None:
-            replay = True
-            api.stats.residual_cache_hits += 1
-            binding = tuple(by_name[p.name].vb_id for p in kernel.array_params)
-            plan = record.plans.get(binding)
-            if plan is None:
-                plan = instantiate_plan_replay(api, skel, by_name, record)
-                if len(record.plans) >= REPLAY_PLAN_BINDINGS:
-                    record.plans.clear()
-                record.plans[binding] = plan
-            else:
-                # Plans are read-only downstream; only the accounting
-                # mirror of the skipped tracker queries remains.
-                replay_query_counts(skel, by_name)
-        else:
-            api.stats.residual_cache_misses += 1
-            plan, record = instantiate_plan(api, skel, by_name, capture=True)
-            if rcache.put(rkey, record):
-                api.stats.residual_cache_evictions += 1
-    else:
-        plan = instantiate_plan(api, skel, by_name)
+    plan = instantiate_plan(api, skel, by_name, record)
+    replay = record is not None
+    if replay:
+        api.stats.residual_cache_hits += 1
+    elif rcache is not None:
+        api.stats.residual_cache_misses += 1
+        if rcache.put(rkey, plan.record):
+            api.stats.residual_cache_evictions += 1
     if prof:
         times["residual"] = perf_counter() - t
         t = perf_counter()

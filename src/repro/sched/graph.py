@@ -21,14 +21,16 @@ each step is recorded on the task and charged by the executor at issue
 time, so the ``sequential`` policy reproduces the legacy host-time
 evolution exactly while ``overlap`` merely re-orders device work.
 
-Construction is staged: everything that depends only on the *launch
-fingerprint* (partition intervals, enumerated read/write byte ranges,
-merged event runs, DAG shape) lives in a :class:`PlanSkeleton` built by
-:func:`build_plan_skeleton` and cacheable across launches, while the
+Construction is staged into two halves with one cache each: everything
+that depends only on the *launch fingerprint* (partition intervals,
+enumerated read/write byte ranges, merged event runs, DAG shape) lives in
+a :class:`PlanSkeleton` built by :func:`build_plan_skeleton`, while the
 tracker-dependent residual — which stale segments actually need copying —
-is applied per launch by :func:`instantiate_plan`. The unstaged
-:func:`build_launch_plan` composes the two and remains the single-call
-entry point.
+lives in a :class:`ResidualRecord`. :func:`instantiate_plan` is the one
+plan builder: it derives the residual from the live trackers, or replays
+it from a record the launch path's residual cache served. The unstaged
+:func:`build_launch_plan` composes skeleton and live residual without any
+cache and remains the single-call entry point.
 """
 
 from __future__ import annotations
@@ -66,8 +68,6 @@ __all__ = [
     "launch_partitions",
     "build_plan_skeleton",
     "instantiate_plan",
-    "instantiate_plan_replay",
-    "replay_query_counts",
     "build_launch_plan",
 ]
 
@@ -212,9 +212,9 @@ class LaunchPlan:
     kernels: List[KernelTask] = field(default_factory=list)
     #: Per non-empty partition (in device order): its tracker updates.
     updates: List[List[WriteUpdate]] = field(default_factory=list)
-    #: Launch fingerprint (repro.runtime.fingerprint) of the skeleton this
-    #: plan was instantiated from; keys the time-estimate memo.
-    fingerprint: Optional[tuple] = None
+    #: The residual record this plan's transfers came from (set by
+    #: :func:`instantiate_plan`); holds the plan's time-estimate memo.
+    record: Optional["ResidualRecord"] = field(default=None, repr=False, compare=False)
 
     @property
     def transfers(self) -> List[TransferTask]:
@@ -478,7 +478,6 @@ class PlanSkeleton:
     :func:`instantiate_plan` derives against live tracker state.
     """
 
-    fingerprint: Optional[tuple]
     ck: CompiledKernel
     grid: Dim3
     block: Dim3
@@ -526,7 +525,7 @@ class PlanSkeleton:
 REPLAY_PLAN_BINDINGS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ResidualRecord:
     """The memoized tracker-dependent half of one launch's plan.
 
@@ -536,20 +535,26 @@ class ResidualRecord:
     trimmed) stale-copy list as ``(start, end, src)`` byte tuples.
     Deliberately *buffer-free* — no VirtualBuffer references — so a
     ping-pong loop's alternating buffer bindings replay the same record;
-    :func:`instantiate_plan_replay` rebinds live buffers through the
-    launch's ``by_name`` mapping.
+    :func:`instantiate_plan` rebinds live buffers through the launch's
+    ``by_name`` mapping.
 
-    ``plans`` additionally memoizes the fully-built :class:`LaunchPlan` per
-    concrete buffer binding (tuple of array vb_ids): the executor treats
-    plans as read-only, so a recurring (fingerprint, digest, binding)
-    triple resubmits the identical plan object with zero construction work.
-    Buffer ids are monotone, so a freed buffer's binding never recurs.
+    Together with its skeleton's fingerprint a record fixes everything
+    built from it, so it also memoizes:
+
+    * ``plans`` — the fully-built :class:`LaunchPlan` per concrete buffer
+      binding (tuple of array vb_ids): the executor treats plans as
+      read-only, so a recurring (fingerprint, digest, binding) triple
+      resubmits the identical plan object with zero construction work.
+      Buffer ids are monotone, so a freed buffer's binding never recurs.
+    * ``estimate`` — the ``(transfer, compute)`` seconds
+      :func:`repro.sched.policy.estimate_plan_times` prices for any plan
+      built from this record (its inputs are the partition list and the
+      copy list), so ``schedule="auto"`` estimates each record once.
     """
 
     scans: Tuple[Tuple[Tuple[Tuple[int, int, int], ...], int, int, int, int, int], ...]
-    plans: Dict[Tuple[int, ...], LaunchPlan] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    plans: Dict[Tuple[int, ...], LaunchPlan] = field(default_factory=dict, repr=False)
+    estimate: Optional[Tuple[float, float]] = field(default=None, repr=False)
 
 
 def build_plan_skeleton(
@@ -559,7 +564,6 @@ def build_plan_skeleton(
     block: Dim3,
     scalars: Mapping[str, int],
     *,
-    fingerprint: Optional[tuple] = None,
     validate: bool = False,
     stats=None,
 ) -> PlanSkeleton:
@@ -587,7 +591,7 @@ def build_plan_skeleton(
                     f"{grid.axis(axis)}x{block.axis(axis)}"
                 )
     parts = launch_partitions(api, ck, grid)
-    skel = PlanSkeleton(fingerprint, ck, grid, block, scalars, shapes, parts)
+    skel = PlanSkeleton(ck, grid, block, scalars, shapes, parts)
     if validate and ck.model.runtime_coverage:
         from repro.compiler.coverage import coverage_validates
 
@@ -644,10 +648,49 @@ def build_plan_skeleton(
     return skel
 
 
+def _live_residual(
+    api: "MultiGpuApi",
+    skel: PlanSkeleton,
+    sp: SkeletonPartition,
+    scan: ReadScan,
+    vb: VirtualBuffer,
+) -> tuple:
+    """One read scan's residual tuple derived against the live trackers.
+
+    ``query_many`` + ``plan_stale_copies_tiered`` (+ ``trim_copies`` under
+    irredundant transfers), in the :class:`ResidualRecord` entry layout.
+    """
+    cluster = getattr(api, "cluster", None)
+    segments = vb.tracker.query_many(scan.ranges)
+    copies, avoided, avoided_inter = plan_stale_copies_tiered(segments, sp.gpu, cluster)
+    overapprox = overapprox_inter = 0
+    if api.config.irredundant_transfers and copies:
+        keep = scan.keep
+        if keep is _KEEP_UNKNOWN:
+            from repro.analysis.dataflow import runtime_exact_read_ranges
+
+            keep = runtime_exact_read_ranges(
+                api, skel.ck.info, scan.enum, sp.part, skel.grid,
+                skel.block, skel.scalars, skel.shapes[scan.array],
+                scan.elem_size,
+            )
+            scan.keep = keep
+        if keep is not None:
+            copies, overapprox, overapprox_inter = trim_copies(
+                copies, keep, sp.gpu, cluster
+            )
+    return (
+        tuple((seg.start, seg.end, seg.owner) for seg in copies),
+        len(segments), avoided, avoided_inter, overapprox, overapprox_inter,
+    )
+
+
 def instantiate_plan(
-    api: "MultiGpuApi", skel: PlanSkeleton, by_name: Mapping[str, object],
-    *, capture: bool = False,
-):
+    api: "MultiGpuApi",
+    skel: PlanSkeleton,
+    by_name: Mapping[str, object],
+    record: Optional[ResidualRecord] = None,
+) -> LaunchPlan:
     """The tracker-dependent residual: a concrete plan from one skeleton.
 
     Pure bookkeeping: no data moves, no simulated time is charged, and the
@@ -658,122 +701,42 @@ def instantiate_plan(
     partition, then its kernel — is identical to the unstaged builder by
     construction, whichever launch built the skeleton.
 
-    With ``capture=True`` returns ``(plan, record)`` where ``record`` is the
-    :class:`ResidualRecord` the replay cache memoizes; the default returns
-    just the plan.
+    Each read scan's residual tuple comes from one of two sources:
+
+    * ``record=None`` (live): ``query_many`` + stale-copy planning against
+      the current trackers; the tuples are collected into a fresh
+      :class:`ResidualRecord` attached as ``plan.record`` for the replay
+      cache to memoize.
+    * ``record`` given (replay): the tuples come from the memoized record,
+      with no tracker query at all. Sound because the residual-cache key's
+      footprint digest was recomputed against the live trackers this
+      launch: equal digests mean the queries *would have* returned the same
+      segments. Buffers are rebound through ``by_name`` (so a ping-pong
+      loop's alternating bindings replay one record, each binding's plan
+      memoized on ``record.plans``), and ``query_many``'s per-range
+      ``op_counts`` charge is mirrored so tracker accounting stays
+      bit-identical with replay on or off.
     """
     assert not skel.fallback, "fallback skeletons never instantiate plans"
+    if record is not None:
+        # The logical dependency-resolution queries still happened from
+        # the host program's point of view; query_many early-returns before
+        # counting on empty range lists, hence the guard.
+        for sp in skel.partitions:
+            for scan in sp.reads:
+                if scan.ranges:
+                    by_name[scan.array].tracker.op_counts["query"] += len(scan.ranges)
+        binding = tuple(by_name[p.name].vb_id for p in skel.ck.kernel.array_params)
+        memo = record.plans.get(binding)
+        if memo is not None:
+            return memo  # plans are read-only downstream
+        entries = iter(record.scans)
     plan = LaunchPlan(
         skel.ck, skel.grid, skel.block, by_name, skel.scalars, skel.shapes,
-        skel.parts, fingerprint=skel.fingerprint,
+        skel.parts, record=record,
     )
-    cluster = getattr(api, "cluster", None)
-    irredundant = api.config.irredundant_transfers
-    next_node = 0
     captured: List[tuple] = []
-
-    for sp in skel.partitions:
-        syncs: List[ReadSync] = []
-        transfer_nodes: List[int] = []
-        reads_vbs: List[Tuple[VirtualBuffer, List[Tuple[int, int]]]] = []
-        for scan in sp.reads:
-            vb = by_name[scan.array]
-            segments = vb.tracker.query_many(scan.ranges)
-            copies, avoided, avoided_inter = plan_stale_copies_tiered(
-                segments, sp.gpu, cluster
-            )
-            overapprox = overapprox_inter = 0
-            if irredundant and copies:
-                keep = scan.keep
-                if keep is _KEEP_UNKNOWN:
-                    from repro.analysis.dataflow import runtime_exact_read_ranges
-
-                    keep = runtime_exact_read_ranges(
-                        api, skel.ck.info, scan.enum, sp.part, skel.grid,
-                        skel.block, skel.scalars, skel.shapes[scan.array],
-                        scan.elem_size,
-                    )
-                    scan.keep = keep
-                if keep is not None:
-                    copies, overapprox, overapprox_inter = trim_copies(
-                        copies, keep, sp.gpu, cluster
-                    )
-            rs = ReadSync(
-                sp.gpu, scan.array, vb, scan.enum, scan.ranges, scan.emitted,
-                len(segments), avoided, avoided_inter, overapprox, overapprox_inter,
-            )
-            for seg in copies:
-                task = TransferTask(
-                    next_node, sp.gpu, seg.owner, vb, scan.array, seg.start, seg.end
-                )
-                next_node += 1
-                rs.transfers.append(task)
-                transfer_nodes.append(task.node)
-            if capture:
-                captured.append(
-                    (
-                        tuple((seg.start, seg.end, seg.owner) for seg in copies),
-                        len(segments), avoided, avoided_inter,
-                        overapprox, overapprox_inter,
-                    )
-                )
-            syncs.append(rs)
-            reads_vbs.append((vb, scan.event_runs))
-        plan.reads.append(syncs)
-
-        ktask = KernelTask(next_node, sp.gpu_idx, sp.gpu, sp.part)
-        next_node += 1
-        ktask.transfer_deps = transfer_nodes
-        ktask.reads = reads_vbs
-        plan.kernels.append(ktask)
-
-        ups: List[WriteUpdate] = []
-        for scan in sp.writes:
-            vb = by_name[scan.array]
-            if scan.ranges is None:
-                ktask.writes.append((vb, [(0, vb.nbytes)]))
-            else:
-                ups.append(
-                    WriteUpdate(
-                        sp.gpu, scan.array, vb, scan.enum, scan.ranges, scan.emitted
-                    )
-                )
-                ktask.writes.append((vb, scan.event_runs))
-        plan.updates.append(ups)
-
-    if capture:
-        return plan, ResidualRecord(tuple(captured))
-    return plan
-
-
-def instantiate_plan_replay(
-    api: "MultiGpuApi",
-    skel: PlanSkeleton,
-    by_name: Mapping[str, object],
-    record: ResidualRecord,
-) -> LaunchPlan:
-    """Rebuild a concrete plan from a memoized residual — no tracker queries.
-
-    The replay-cache hit path: structurally identical to
-    :func:`instantiate_plan`, but every tracker-derived quantity — the
-    stale-copy list, segment counts, avoided/overapprox counters — comes
-    from ``record`` instead of ``query_many`` + ``plan_stale_copies_tiered``
-    (+ ``trim_copies``). Sound because the cache key's footprint digest was
-    recomputed against the live trackers this launch: equal digests mean the
-    queries *would have* returned the same segments. Buffer identities are
-    rebound through ``by_name``, so a ping-pong loop's alternating bindings
-    replay one record. The per-range ``op_counts`` charge of ``query_many``
-    is mirrored so tracker accounting stays bit-identical with replay on or
-    off.
-    """
-    assert not skel.fallback, "fallback skeletons never instantiate plans"
-    replay_query_counts(skel, by_name)
-    plan = LaunchPlan(
-        skel.ck, skel.grid, skel.block, by_name, skel.scalars, skel.shapes,
-        skel.parts, fingerprint=skel.fingerprint,
-    )
     next_node = 0
-    entries = iter(record.scans)
 
     for sp in skel.partitions:
         syncs: List[ReadSync] = []
@@ -781,17 +744,18 @@ def instantiate_plan_replay(
         reads_vbs: List[Tuple[VirtualBuffer, List[Tuple[int, int]]]] = []
         for scan in sp.reads:
             vb = by_name[scan.array]
-            copies, n_segments, avoided, avoided_inter, overapprox, overapprox_inter = (
-                next(entries)
-            )
+            if record is None:
+                entry = _live_residual(api, skel, sp, scan, vb)
+                captured.append(entry)
+            else:
+                entry = next(entries)
+            copies, n_segments, avoided, avoided_inter, overapprox, overapprox_inter = entry
             rs = ReadSync(
                 sp.gpu, scan.array, vb, scan.enum, scan.ranges, scan.emitted,
                 n_segments, avoided, avoided_inter, overapprox, overapprox_inter,
             )
             for start, end, src in copies:
-                task = TransferTask(
-                    next_node, sp.gpu, src, vb, scan.array, start, end
-                )
+                task = TransferTask(next_node, sp.gpu, src, vb, scan.array, start, end)
                 next_node += 1
                 rs.transfers.append(task)
                 transfer_nodes.append(task.node)
@@ -819,22 +783,13 @@ def instantiate_plan_replay(
                 ktask.writes.append((vb, scan.event_runs))
         plan.updates.append(ups)
 
+    if record is None:
+        plan.record = ResidualRecord(tuple(captured))
+    else:
+        if len(record.plans) >= REPLAY_PLAN_BINDINGS:
+            record.plans.clear()
+        record.plans[binding] = plan
     return plan
-
-
-def replay_query_counts(skel: PlanSkeleton, by_name: Mapping[str, object]) -> None:
-    """Mirror ``query_many``'s per-range op charge for a replayed launch.
-
-    A replay serves every tracker answer from the memoized record, but the
-    logical dependency-resolution queries still happened from the host
-    program's point of view — the cost model and `op_counts` accounting
-    must be bit-identical with the replay cache on or off. ``query_many``
-    early-returns before counting on empty range lists, hence the guard.
-    """
-    for sp in skel.partitions:
-        for scan in sp.reads:
-            if scan.ranges:
-                by_name[scan.array].tracker.op_counts["query"] += len(scan.ranges)
 
 
 def build_launch_plan(
@@ -846,9 +801,5 @@ def build_launch_plan(
     without consulting any cache — the uncached path the staged launcher
     (and every property test) measures the cached path against.
     """
-    from repro.runtime.fingerprint import launch_fingerprint
-
     by_name, scalars = split_launch_args(ck.kernel, args)
-    skel = build_plan_skeleton(api, ck, grid, block, scalars)
-    skel.fingerprint = launch_fingerprint(api, ck, grid, block, scalars, skel.shapes)
-    return instantiate_plan(api, skel, by_name)
+    return instantiate_plan(api, build_plan_skeleton(api, ck, grid, block, scalars), by_name)

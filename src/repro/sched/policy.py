@@ -115,46 +115,34 @@ def estimate_plan_times(api: "MultiGpuApi", plan: "LaunchPlan") -> Tuple[float, 
     rate. Machine-less (functional-only) runs fall back to byte counts —
     only the zero/non-zero distinction matters then.
 
-    Results are memoized per api under the shared launch fingerprint
-    (:func:`repro.runtime.fingerprint.plan_estimate_key` — an iteration
-    loop re-estimates an identical launch shape every pass; a stencil
-    ping-ponging between two buffers converges to one steady-state key per
-    parity because buffer identities never enter the fingerprint); hit and
-    miss counts surface in ``RunStats.estimate_cache_hits/misses``.
+    The result is memoized on the plan's
+    :class:`~repro.sched.graph.ResidualRecord`: the record and its
+    skeleton fix the partition list and the copy list, which is everything
+    priced here, so a replayed launch reuses its record's estimate.
     """
-    from repro.runtime.fingerprint import plan_estimate_key
-
-    cache = getattr(api, "_estimate_cache", None)
-    key = None
-    if cache is not None:
-        key = plan_estimate_key(plan)
-        hit = cache.get(key)
-        if hit is not None:
-            api.stats.estimate_cache_hits += 1
-            return hit
-        api.stats.estimate_cache_misses += 1
+    record = plan.record
+    if record is not None and record.estimate is not None:
+        return record.estimate
     spec = api.spec
     if spec is None:
         result = float(sum(t.nbytes for t in plan.transfers)), 0.0
-        if cache is not None:
-            cache[key] = result
-        return result
-    cluster = getattr(api, "cluster", None)
-    transfer = 0.0
-    for t in plan.transfers:
-        if cluster is not None and not cluster.same_node(t.owner, t.gpu):
-            transfer += cluster.network_transfer_time(t.nbytes)
-        else:
-            transfer += spec.transfer_time(t.owner, t.gpu, t.nbytes)
-    compute = 0.0
-    if api.kernel_cost is not None:
-        for k in plan.kernels:
-            compute += api.kernel_cost(
-                plan.ck.kernel, k.part.n_blocks, plan.block, plan.scalars
-            )
-    result = (transfer, compute)
-    if cache is not None:
-        cache[key] = result
+    else:
+        cluster = getattr(api, "cluster", None)
+        transfer = 0.0
+        for t in plan.transfers:
+            if cluster is not None and not cluster.same_node(t.owner, t.gpu):
+                transfer += cluster.network_transfer_time(t.nbytes)
+            else:
+                transfer += spec.transfer_time(t.owner, t.gpu, t.nbytes)
+        compute = 0.0
+        if api.kernel_cost is not None:
+            for k in plan.kernels:
+                compute += api.kernel_cost(
+                    plan.ck.kernel, k.part.n_blocks, plan.block, plan.scalars
+                )
+        result = (transfer, compute)
+    if record is not None:
+        record.estimate = result
     return result
 
 

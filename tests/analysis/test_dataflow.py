@@ -211,6 +211,68 @@ class TestAnalyzerMatchesRuntime:
         assert summary.total("overapprox_inter") == api.stats.overapprox_bytes_avoided_inter
         assert 0 < summary.total("overapprox_inter") < summary.total("overapprox")
 
+    def test_multi_gpu_nodes_use_the_runtime_partitions(self):
+        """On 2x4 the per-node split differs from the flat 8-way split."""
+        from repro.cluster.engine import ClusterSimMachine
+        from repro.harness.calibration import k80_cluster
+
+        wl = DStencilWorkload(functional_config("dstencil"))
+        grid, block = wl.launch_config()
+        cluster = k80_cluster(2, 4)
+        summary = analyze_transfers(
+            analyze_kernel(wl.kernel),
+            n_gpus=8,
+            launches=wl.cfg.iterations,
+            grid=grid,
+            block=block,
+            scalars={},
+            irredundant=True,
+            cluster=cluster,
+        )
+        api = MultiGpuApi(
+            compile_app([wl.kernel]),
+            RuntimeConfig(n_gpus=8, shared_copies=True, irredundant_transfers=True),
+            machine=ClusterSimMachine(cluster),
+        )
+        wl.run(api, wl.make_inputs(0))
+        assert summary.total("required") == api.stats.sync_bytes
+        assert summary.total("redundant") == api.stats.redundant_bytes_avoided
+        assert summary.total("redundant_inter") == api.stats.redundant_bytes_avoided_inter
+        assert summary.total("overapprox") == api.stats.overapprox_bytes_avoided
+        assert summary.total("overapprox_inter") == api.stats.overapprox_bytes_avoided_inter
+
+    @pytest.mark.parametrize("irredundant", [False, True])
+    def test_each_enumerator_scans_once_per_partition(self, monkeypatch, irredundant):
+        """Read and write scans are hoisted out of the launch loop."""
+        from repro.compiler.enumerators import Enumerator
+
+        # Reads and writes the same array, so both scan kinds are modelled.
+        info = analyze_kernel(column_gather_kernel())
+        grid, block = Dim3(x=1, y=8), Dim3(x=16, y=16)
+        original = Enumerator.element_ranges
+
+        def scans_for(launches):
+            counts = {}
+
+            def spy(self, partition, *args, **kwargs):
+                key = (self.name, partition)
+                counts[key] = counts.get(key, 0) + 1
+                return original(self, partition, *args, **kwargs)
+
+            monkeypatch.setattr(Enumerator, "element_ranges", spy)
+            analyze_transfers(
+                info, n_gpus=4, launches=launches, grid=grid, block=block,
+                scalars={}, irredundant=irredundant,
+            )
+            monkeypatch.setattr(Enumerator, "element_ranges", original)
+            return counts
+
+        once = scans_for(1)
+        assert set(once.values()) == {1}
+        assert {name.rsplit("__", 1)[1] for name, _ in once} == {"read", "write"}
+        assert len(once) == 2 * 4  # (read, write) x 4 partitions
+        assert scans_for(5) == once
+
     def test_atoms_cover_shared_halo(self):
         wl = DStencilWorkload(functional_config("dstencil"))
         grid, block = wl.launch_config()

@@ -29,15 +29,6 @@ class TestErrors:
         enum = build_enumerator(info, "dst", "write")
         assert enum.exact
 
-    def test_cache_bounded(self, copy_kernel):
-        info = analyze_kernel(copy_kernel)
-        enum = build_enumerator(info, "dst", "write")
-        grid, block = Dim3(4), Dim3(8)
-        for n in range(40):
-            part = Partition.whole(grid)
-            enum.element_ranges(part, block, grid, {"n": n + 1}, (n + 1,))
-        assert len(enum._cache) <= 4096
-
 
 class TestDegenerateLaunches:
     def test_single_block_grid(self, copy_kernel):

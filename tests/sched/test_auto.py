@@ -18,6 +18,7 @@ from repro.sched.policy import (
     AUTO_SEQUENTIAL_MAX_RATIO,
     SCHEDULES,
     auto_schedule_name,
+    estimate_plan_times,
 )
 from repro.sim.engine import SimMachine
 from repro.workloads.common import table1_configs
@@ -144,55 +145,96 @@ class TestAutoRuns:
 
 
 class TestEstimateCache:
-    """Plan-time estimates are memoized per (kernel, grid, config) shape."""
+    """Plan-time estimates are memoized on the plan's residual record."""
 
-    def test_pingpong_reestimates_nothing_after_warmup(self):
-        # Ping-pong directions have mirrored transfer shapes; buffer
-        # identity is deliberately excluded from the fingerprint, so the
-        # whole loop converges to at most one slot per parity and every
-        # launch after warm-up is a hit.
-        _, _, api = _run("auto", iterations=5)
-        assert 1 <= api.stats.estimate_cache_misses <= 2
-        assert (
-            api.stats.estimate_cache_hits
-            == 5 - api.stats.estimate_cache_misses
-        )
-        assert sum(api.stats.auto_choices.values()) == 5
+    @staticmethod
+    def _traced_loop(monkeypatch, schedule, iterations=6):
+        """Ping-pong loop recording, per launch, the estimator's cost calls.
 
-    def test_concrete_schedules_never_estimate(self):
-        for schedule in SCHEDULES:
-            _, _, api = _run(schedule, iterations=3)
-            assert api.stats.estimate_cache_hits == 0
-            assert api.stats.estimate_cache_misses == 0
+        Returns ``(api, launches)`` with one ``(replayed, estimator_calls,
+        estimates, fresh)`` tuple per launch: whether the launch replayed a
+        cached residual, how many ``kernel_cost`` calls
+        ``estimate_plan_times`` made, the estimates the auto selector
+        obtained, and a fresh estimate of a cache-free plan built from the
+        same tracker state just before the launch.
+        """
+        import sys
 
-    def test_cached_estimate_is_bit_identical(self):
-        from repro.runtime.fingerprint import plan_estimate_key
+        from repro.sched import policy
         from repro.sched.graph import build_launch_plan
-        from repro.sched.policy import estimate_plan_times
 
         kernel = _stencil()
         app = compile_app([kernel])
         api = MultiGpuApi(
             app,
-            RuntimeConfig(n_gpus=4, schedule="auto"),
+            RuntimeConfig(n_gpus=4, schedule=schedule),
             machine=SimMachine(K80_NODE_SPEC.with_gpus(4)),
         )
+        estimator_calls = []
+        cost = api.kernel_cost
+
+        def spy_cost(*args):
+            if sys._getframe(1).f_code is estimate_plan_times.__code__:
+                estimator_calls.append(args)
+            return cost(*args)
+
+        api.kernel_cost = spy_cost
+        estimates = []
+
+        def spy_estimate(api_, plan):
+            result = estimate_plan_times(api_, plan)
+            estimates.append(result)
+            return result
+
+        monkeypatch.setattr(policy, "estimate_plan_times", spy_estimate)
         nbytes = N * N * 4
         a, b = api.cudaMalloc(nbytes), api.cudaMalloc(nbytes)
-        api.cudaMemset(a, 0, nbytes)
+        data = np.random.default_rng(0).random((N, N)).astype(np.float32)
+        api.cudaMemcpy(a, data, nbytes, MemcpyKind.HostToDevice)
         api.cudaMemset(b, 0, nbytes)
         ck = app.kernel(kernel.name)
-        plan_ab = build_launch_plan(api, ck, GRID, BLOCK, [a, b])
-        plan_ba = build_launch_plan(api, ck, GRID, BLOCK, [b, a])
-        # Buffer identity does not enter the key: a symmetric stencil's two
-        # ping-pong directions share one cache slot.
-        assert plan_estimate_key(plan_ab) == plan_estimate_key(plan_ba)
+        src, dst = a, b
+        launches = []
+        for _ in range(iterations):
+            fresh_plan = build_launch_plan(api, ck, GRID, BLOCK, [src, dst])
+            fresh = estimate_plan_times(api, fresh_plan)
+            hits, calls, n_est = (
+                api.stats.residual_cache_hits, len(estimator_calls), len(estimates)
+            )
+            api.launch(kernel, GRID, BLOCK, [src, dst])
+            launches.append(
+                (
+                    api.stats.residual_cache_hits > hits,
+                    len(estimator_calls) - calls,
+                    estimates[n_est:],
+                    fresh,
+                )
+            )
+            src, dst = dst, src
+        return api, launches
 
-        first = estimate_plan_times(api, plan_ab)
-        assert api.stats.estimate_cache_misses == 1
-        again = estimate_plan_times(api, plan_ab)
-        assert api.stats.estimate_cache_hits == 1
-        assert again == first  # bit-identical, not approximately equal
+    def test_pingpong_reestimates_nothing_after_warmup(self, monkeypatch):
+        api, launches = self._traced_loop(monkeypatch, "auto")
+        replayed = [calls for replay, calls, _, _ in launches if replay]
+        assert replayed and replayed == [0] * len(replayed)
+        # Launches that derived a fresh residual estimated it (one cost call
+        # per kernel partition), so the zeros above are real memo hits.
+        derived = [calls for replay, calls, _, _ in launches if not replay]
+        assert derived and all(calls == 4 for calls in derived)
+        assert sum(api.stats.auto_choices.values()) == len(launches)
+
+    def test_cached_estimate_is_bit_identical(self, monkeypatch):
+        _, launches = self._traced_loop(monkeypatch, "auto")
+        replays = [(est, fresh) for replay, _, est, fresh in launches if replay]
+        assert replays
+        for estimates, fresh in replays:
+            # Bit-identical to a cache-free plan's estimate, not approximately.
+            assert estimates == [fresh]
+
+    def test_concrete_schedules_never_estimate(self, monkeypatch):
+        for schedule in SCHEDULES:
+            _, launches = self._traced_loop(monkeypatch, schedule, iterations=3)
+            assert all(calls == 0 and est == [] for _, calls, est, _ in launches)
 
     def test_window_estimate_sums_per_plan(self):
         from repro.sched.graph import build_launch_plan

@@ -49,6 +49,34 @@ class TestBench:
         assert main(["bench", "overhead", "--sizes", "small"]) == 0
         assert "Slowdown" in capsys.readouterr().out
 
+    def test_schedules_bare_json_in_empty_cwd(self, tmp_path, monkeypatch, capsys):
+        """Bare ``--json`` creates the default results directory itself."""
+        import json
+
+        from repro.harness import experiments
+        from repro.harness.experiments import SchedulePoint
+
+        point = SchedulePoint("hotspot", "small", 4, "overlap", 0.5, 1.0, 0.2, 0.1)
+        monkeypatch.setattr(experiments, "schedule_comparison", lambda **kw: [point])
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "schedules", "--json"]) == 0
+        written = tmp_path / "benchmarks" / "results" / "schedule_comparison.json"
+        doc = json.loads(written.read_text())
+        assert doc == [
+            {
+                "workload": "hotspot",
+                "size": "small",
+                "n_gpus": 4,
+                "schedule": "overlap",
+                "time": 0.5,
+                "reference": 1.0,
+                "speedup": 2.0,
+                "hidden_transfer_time": 0.2,
+                "exposed_transfer_time": 0.1,
+            }
+        ]
+        assert "Schedule comparison" in capsys.readouterr().out
+
 
 class TestMachine:
     def test_machine_table(self, capsys):
