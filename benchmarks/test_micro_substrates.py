@@ -2,8 +2,9 @@
 
 Not a paper figure — these watch the performance of the pieces the toolchain
 leans on hardest: Fourier-Motzkin projection, emptiness/injectivity proofs,
-scanner compilation, B-tree operations and the vectorized kernel
-interpreter.
+scanner compilation, B-tree operations and kernel execution (the lowered
+form ``run_kernel`` runs, and the tree-walking interpreter it is checked
+against).
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from repro.compiler.access_analysis import analyze_kernel
 from repro.compiler.legality import check_partitionable
 from repro.cuda.dim3 import Dim3
+from repro.cuda.exec import interpreter
 from repro.cuda.exec.interpreter import run_kernel
 from repro.poly import parse_basic_set
 from repro.poly.codegen import compile_scanner
@@ -72,17 +74,35 @@ def test_micro_btree_mixed_ops(benchmark):
     assert benchmark(run) > 0
 
 
-def test_micro_interpreter_throughput(benchmark):
-    """Vectorized stencil execution: elements/second of the mini-CUDA VM."""
+def _stencil_launch():
     n = 256
     kernel = build_hotspot_kernel(n)
     src = np.random.default_rng(0).random((n, n), dtype=np.float32).reshape(n, n)
     dst = np.zeros((n, n), dtype=np.float32)
-    args = {"temp_in": src, "temp_out": dst}
+    return kernel, Dim3(n // 16, n // 16), Dim3(16, 16), {"temp_in": src, "temp_out": dst}
+
+
+def test_micro_interpreter_throughput(benchmark):
+    """Vectorized stencil execution through ``run_kernel`` (the lowered form)."""
+    kernel, grid, block, args = _stencil_launch()
 
     def run():
-        run_kernel(kernel, Dim3(n // 16, n // 16), Dim3(16, 16), args)
-        return dst
+        run_kernel(kernel, grid, block, args)
+        return args["temp_out"]
+
+    out = benchmark(run)
+    assert out[1, 1] != 0.0
+
+
+def test_micro_tree_interpreter_throughput(benchmark):
+    """The same launch on the tree-walking interpreter (the untraced oracle)."""
+    kernel, grid, block, args = _stencil_launch()
+
+    def run():
+        lanes = interpreter._Lanes(grid, block)
+        frame = interpreter._Frame(interpreter._bind_args(kernel, args))
+        interpreter._run_body(kernel.body, lanes, frame, None)
+        return args["temp_out"]
 
     out = benchmark(run)
     assert out[1, 1] != 0.0

@@ -11,6 +11,12 @@ idiom (no per-thread Python loops) while preserving CUDA's semantics:
 * arrays are row-major and shared across all lanes;
 * concurrent writes to one cell have no defined order (numpy fancy-index
   assignment keeps the last occurrence, a valid realization).
+
+:func:`run_kernel` is the single entry point. An untraced launch runs the
+kernel's lowered form (:mod:`repro.cuda.exec.lower`: straight-line numpy
+source compiled once per kernel). This tree-walking interpreter is the
+oracle that lowered execution must match bit for bit, and the
+instrumentation path: a launch with an :class:`AccessTrace` runs here.
 """
 
 from __future__ import annotations
@@ -164,11 +170,7 @@ def _binop(op: str, a, b):
     if op == "mul":
         return a * b
     if op == "div":
-        # Float division for floats; floor division for integers (the IR's
-        # kernels use explicit fdiv for index math, so this path is rare).
-        if np.asarray(a).dtype.kind == "f" or np.asarray(b).dtype.kind == "f":
-            return a / b
-        return a // b
+        return _div(a, b)
     if op == "fdiv":
         return a // b
     if op == "mod":
@@ -196,6 +198,14 @@ def _binop(op: str, a, b):
     raise ExecutionError(f"unknown binary op {op!r}")
 
 
+def _div(a, b):
+    # Float division for floats; floor division for integers (the IR's
+    # kernels use explicit fdiv for index math, so this path is rare).
+    if np.asarray(a).dtype.kind == "f" or np.asarray(b).dtype.kind == "f":
+        return a / b
+    return a // b
+
+
 def _call(fn: str, args):
     if fn == "sqrt":
         return np.sqrt(args[0])
@@ -214,22 +224,28 @@ def _call(fn: str, args):
     raise ExecutionError(f"unknown math function {fn!r}")
 
 
+def _oob_error(index, d: int, extent: int, what: str = "index") -> ExecutionError:
+    return ExecutionError(f"out-of-bounds {what} {int(index)} in dim {d} (extent {extent})")
+
+
+def _lane_index(index, extent: int, mask, d: int, n: int, what: str = "index") -> np.ndarray:
+    """One index dimension broadcast to the lanes, bounds-checked on active lanes."""
+    idx = np.asarray(index)
+    idx_b = np.broadcast_to(idx, (n,)) if idx.ndim == 0 else idx
+    bad = (idx_b < 0) | (idx_b >= extent)
+    if mask is not None:
+        bad = bad & mask
+    if np.any(bad):
+        raise _oob_error(idx_b[int(np.argmax(bad))], d, extent, what)
+    return idx_b
+
+
 def _index_lanes(indices, lanes: _Lanes, frame: _Frame, mask, shape) -> Tuple[np.ndarray, ...]:
     """Evaluate index expressions, broadcast to lanes, validate active lanes."""
-    idx_arrays = []
-    for d, idx_expr in enumerate(indices):
-        idx = np.asarray(_eval(idx_expr, lanes, frame, mask))
-        idx_b = np.broadcast_to(idx, (lanes.n,)) if idx.ndim == 0 else idx
-        bad = (idx_b < 0) | (idx_b >= shape[d])
-        if mask is not None:
-            bad = bad & mask
-        if np.any(bad):
-            lane = int(np.argmax(bad))
-            raise ExecutionError(
-                f"out-of-bounds index {int(idx_b[lane])} in dim {d} (extent {shape[d]})"
-            )
-        idx_arrays.append(idx_b)
-    return tuple(idx_arrays)
+    return tuple(
+        _lane_index(_eval(e, lanes, frame, mask), shape[d], mask, d, lanes.n)
+        for d, e in enumerate(indices)
+    )
 
 
 def _load(expr: Load, lanes: _Lanes, frame: _Frame, mask):
@@ -239,28 +255,16 @@ def _load(expr: Load, lanes: _Lanes, frame: _Frame, mask):
     if mask is None:
         idx = _index_lanes(expr.indices, lanes, frame, mask, arr.shape)
         if lanes.trace is not None:
-            flat = np.ravel_multi_index(
-                tuple(np.broadcast_to(i, (lanes.n,)) for i in idx), arr.shape
-            )
+            flat = np.ravel_multi_index(idx, arr.shape)
             lanes.trace.record_read(expr.array, flat, np.arange(lanes.n))
         return arr[idx]
-    safe = []
-    for d, idx_expr in enumerate(expr.indices):
-        idx = np.asarray(_eval(idx_expr, lanes, frame, mask))
-        idx_b = np.broadcast_to(idx, (lanes.n,)) if idx.ndim == 0 else idx
-        bad = ((idx_b < 0) | (idx_b >= arr.shape[d])) & mask
-        if np.any(bad):
-            lane = int(np.argmax(bad))
-            raise ExecutionError(
-                f"out-of-bounds index {int(idx_b[lane])} in dim {d} (extent {arr.shape[d]})"
-            )
-        safe.append(np.where(mask, idx_b, 0))
+    # Inactive lanes read element 0; callers only consume them under `mask`.
+    idx = _index_lanes(expr.indices, lanes, frame, mask, arr.shape)
+    safe = tuple(np.where(mask, i, 0) for i in idx)
     if lanes.trace is not None and np.any(mask):
         flat = np.ravel_multi_index(tuple(s[mask] for s in safe), arr.shape)
         lanes.trace.record_read(expr.array, flat, np.nonzero(mask)[0])
-    values = arr[tuple(safe)]
-    # Inactive lanes read element 0; callers only consume them under `mask`.
-    return values
+    return arr[safe]
 
 
 def _store(stmt: Store, lanes: _Lanes, frame: _Frame, mask) -> None:
@@ -272,30 +276,21 @@ def _store(stmt: Store, lanes: _Lanes, frame: _Frame, mask) -> None:
     if mask is None:
         idx = _index_lanes(stmt.indices, lanes, frame, mask, arr.shape)
         if lanes.trace is not None:
-            flat = np.ravel_multi_index(
-                tuple(np.broadcast_to(i, (lanes.n,)) for i in idx), arr.shape
-            )
+            flat = np.ravel_multi_index(idx, arr.shape)
             lanes.trace.record_write(stmt.array, flat, np.arange(lanes.n))
         arr[idx] = value_b
         return
     if not np.any(mask):
         return
-    idx_full = []
-    for d, idx_expr in enumerate(stmt.indices):
-        idx = np.asarray(_eval(idx_expr, lanes, frame, mask))
-        idx_b = np.broadcast_to(idx, (lanes.n,)) if idx.ndim == 0 else idx
-        bad = ((idx_b < 0) | (idx_b >= arr.shape[d])) & mask
-        if np.any(bad):
-            lane = int(np.argmax(bad))
-            raise ExecutionError(
-                f"out-of-bounds store index {int(idx_b[lane])} in dim {d} "
-                f"(extent {arr.shape[d]})"
-            )
-        idx_full.append(idx_b[mask])
+    idx_full = tuple(
+        _lane_index(_eval(e, lanes, frame, mask), arr.shape[d], mask, d, lanes.n, "store index")
+        [mask]
+        for d, e in enumerate(stmt.indices)
+    )
     if lanes.trace is not None:
-        flat = np.ravel_multi_index(tuple(idx_full), arr.shape)
+        flat = np.ravel_multi_index(idx_full, arr.shape)
         lanes.trace.record_write(stmt.array, flat, np.nonzero(mask)[0])
-    arr[tuple(idx_full)] = value_b[mask]
+    arr[idx_full] = value_b[mask]
 
 
 def _run_body(body: Body, lanes: _Lanes, frame: _Frame, mask) -> None:
@@ -362,27 +357,8 @@ def _run_for(stmt: For, lanes: _Lanes, frame: _Frame, mask) -> None:
         del frame.values[name]
 
 
-def run_kernel(
-    kernel: Kernel,
-    grid,
-    block,
-    args: Mapping[str, object],
-    *,
-    trace: Optional[AccessTrace] = None,
-) -> None:
-    """Execute a kernel over a full launch grid.
-
-    ``args`` binds every parameter name: array params to shaped numpy arrays
-    (mutated in place by stores), scalar params to numbers, and — for
-    partitioned kernels — the six reserved partition scalars.
-
-    Pass an :class:`AccessTrace` to record the ground-truth element indices
-    every active thread loads and stores (instrumented execution).
-    """
-    grid = Dim3.of(grid)
-    block = Dim3.of(block)
-    lanes = _Lanes(grid, block)
-    lanes.trace = trace
+def _bind_args(kernel: Kernel, args: Mapping[str, object]) -> Dict[str, object]:
+    """Check the launch arguments and bind every parameter name to its value."""
     values: Dict[str, object] = {}
     for p in kernel.params:
         if isinstance(p, PartitionParam):
@@ -402,7 +378,43 @@ def run_kernel(
                 values[p.name] = v
             else:
                 values[p.name] = _np_const(v, p.dtype)
+    return values
+
+
+def run_kernel(
+    kernel: Kernel,
+    grid,
+    block,
+    args: Mapping[str, object],
+    *,
+    trace: Optional[AccessTrace] = None,
+) -> None:
+    """Execute a kernel over a full launch grid.
+
+    ``args`` binds every parameter name: array params to shaped numpy arrays
+    (mutated in place by stores), scalar params to numbers, and — for
+    partitioned kernels — the six reserved partition scalars.
+
+    Without a trace the kernel runs in its lowered form, compiled on the
+    first such launch and kept on the kernel object. Pass an
+    :class:`AccessTrace` to run the tree-walking interpreter instead and
+    record the ground-truth element indices every active thread loads and
+    stores (instrumented execution).
+    """
+    lanes = _Lanes(Dim3.of(grid), Dim3.of(block))
+    values = _bind_args(kernel, args)
+    if trace is None:
+        _lower.lowered(kernel)(values, lanes)
+        return
+    lanes.trace = trace
     _run_body(kernel.body, lanes, _Frame(values), None)
+
+
+#: The one-lane grid scalar evaluation runs on. Built once: nothing writes
+#: to a lane grid, and its coordinate arrays are frozen to keep it that way.
+_ONE_LANE = _Lanes(Dim3(1), Dim3(1))
+for _coords in (*_ONE_LANE.block_idx.values(), *_ONE_LANE.thread_idx.values()):
+    _coords.flags.writeable = False
 
 
 def eval_scalar_expr(expr: Expr, scalars: Mapping[str, object]):
@@ -410,7 +422,10 @@ def eval_scalar_expr(expr: Expr, scalars: Mapping[str, object]):
 
     Used for array shape expressions and loop trip counts at launch time.
     """
-    lanes = _Lanes(Dim3(1), Dim3(1))
     frame = _Frame({k: np.asarray(v)[()] for k, v in scalars.items()})
-    value = _eval(expr, lanes, frame, None)
+    value = _eval(expr, _ONE_LANE, frame, None)
     return np.asarray(value)[()]
+
+
+# Bound last: the lowering reuses this module's helpers.
+from repro.cuda.exec import lower as _lower  # noqa: E402
