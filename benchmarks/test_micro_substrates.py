@@ -2,9 +2,9 @@
 
 Not a paper figure — these watch the performance of the pieces the toolchain
 leans on hardest: Fourier-Motzkin projection, emptiness/injectivity proofs,
-scanner compilation, B-tree operations and kernel execution (the lowered
+scanner compilation, B-tree operations, kernel execution (the lowered
 form ``run_kernel`` runs, and the tree-walking interpreter it is checked
-against).
+against) and task-graph edge derivation.
 """
 
 import numpy as np
@@ -18,6 +18,8 @@ from repro.cuda.exec.interpreter import run_kernel
 from repro.poly import parse_basic_set
 from repro.poly.codegen import compile_scanner
 from repro.runtime.btree import BTreeMap
+from repro.workloads import functional_config
+from repro.workloads.cholesky import CholeskyWorkload
 from repro.workloads.hotspot import build_hotspot_kernel
 from repro.workloads.matmul import build_matmul_kernel
 
@@ -106,3 +108,18 @@ def test_micro_tree_interpreter_throughput(benchmark):
 
     out = benchmark(run)
     assert out[1, 1] != 0.0
+
+
+def test_micro_taskgraph_finalize(benchmark):
+    """Edge derivation of the tiled Cholesky graph (n=64: 120 tasks)."""
+
+    class Buf:
+        nbytes = 64 * 64 * 4
+
+    graph = CholeskyWorkload(functional_config("cholesky", size=64)).build_graph(None, Buf())
+
+    def run():
+        graph._finalized = False
+        return graph.finalize()
+
+    assert len(benchmark(run).edges) == 630

@@ -17,9 +17,10 @@ from typing import Dict, Mapping, Tuple
 
 from repro.cuda.dim3 import Dim3
 from repro.cuda.exec.interpreter import eval_scalar_expr
-from repro.cuda.ir.exprs import BinOp, Call, Expr, Load, Select, UnOp
-from repro.cuda.ir.kernel import ArrayParam, Kernel
+from repro.cuda.ir.exprs import BinOp, Call, Expr, Load, LocalRef, Param, Select, UnOp
+from repro.cuda.ir.kernel import Kernel
 from repro.cuda.ir.stmts import Assign, Body, For, If, Let, Store
+from repro.cuda.ir.visitors import walk_body, walk_expr
 from repro.errors import AnalysisError
 from repro.sim.topology import MachineSpec
 
@@ -62,12 +63,43 @@ class ThreadCost:
 
 _ZERO = ThreadCost(0.0, 0.0)
 
+#: Memo-key stand-in for a loop-bound name the launch does not bind.
+_UNBOUND = object()
+
+
+def _loop_bound_names(kernel: Kernel) -> Tuple[str, ...]:
+    """Names referenced by any ``For`` bound: all a trip count can read."""
+    names = set()
+    for stmt in walk_body(kernel.body):
+        if isinstance(stmt, For):
+            for bound in (stmt.lo, stmt.hi):
+                for e in walk_expr(bound):
+                    if isinstance(e, (Param, LocalRef)):
+                        names.add(e.name)
+    return tuple(sorted(names))
+
 
 class KernelCostModel:
-    """Callable matching :data:`repro.cuda.api.KernelCostFn`."""
+    """Callable matching :data:`repro.cuda.api.KernelCostFn`.
+
+    :meth:`thread_cost` is memoized on the instance.  Per-thread work
+    depends on a launch only through the trip counts of ``For`` loops,
+    which read nothing but the scalars named in the loop bounds.  So the
+    memo key is the kernel's identity plus the typed values of just those
+    scalars (the name set is computed once per kernel; a name the launch
+    does not bind keys as a sentinel).  Scalars that only offset memory
+    accesses, like Cholesky's tile offsets, do not split the memo, and a
+    memoized cost is the very value a fresh walk would compute.  The model
+    is still called once per simulated launch: only the IR walk is saved.
+    """
 
     def __init__(self, spec: MachineSpec) -> None:
         self.spec = spec
+        #: id(kernel) -> (kernel, loop-bound names, {scalar key: cost}).
+        #: Holding the kernel keeps its id from being reused.
+        self._memo: Dict[
+            int, Tuple[Kernel, Tuple[str, ...], Dict[Tuple, ThreadCost]]
+        ] = {}
 
     # -- IR walking --------------------------------------------------------------
 
@@ -141,6 +173,22 @@ class KernelCostModel:
     # -- public API ----------------------------------------------------------------
 
     def thread_cost(self, kernel: Kernel, scalars: Mapping[str, object]) -> ThreadCost:
+        entry = self._memo.get(id(kernel))
+        if entry is None:
+            entry = self._memo[id(kernel)] = (kernel, _loop_bound_names(kernel), {})
+        _, names, costs = entry
+        key = tuple(
+            (type(v), v) for v in (scalars.get(n, _UNBOUND) for n in names)
+        )
+        try:
+            cost = costs.get(key)
+        except TypeError:  # an unhashable scalar value: cost it afresh
+            return self._walk(kernel, scalars)
+        if cost is None:
+            cost = costs[key] = self._walk(kernel, scalars)
+        return cost
+
+    def _walk(self, kernel: Kernel, scalars: Mapping[str, object]) -> ThreadCost:
         elem_sizes: Dict[str, int] = {p.name: p.dtype.size for p in kernel.array_params}
         return self._body_cost(kernel.body, scalars, elem_sizes)
 

@@ -90,3 +90,58 @@ class TestLaunchTime:
         b = ThreadCost(3.0, 4.0)
         assert (a + b).flops == 4.0 and (a + b).bytes == 6.0
         assert a.scaled(3).bytes == 6.0
+
+
+class TestMemo:
+    """thread_cost is memoized per kernel on the loop-bound scalars only."""
+
+    def _count_walks(self, model, monkeypatch):
+        walks = []
+        real = model._walk
+        monkeypatch.setattr(
+            model, "_walk", lambda k, s: walks.append(k.name) or real(k, s)
+        )
+        return walks
+
+    def test_memoized_durations_are_bit_identical(self):
+        from repro.workloads.cholesky import CholeskyWorkload
+        from repro.workloads.common import functional_config
+
+        chol = CholeskyWorkload(functional_config("cholesky", size=64))
+        warm = KernelCostModel(SPEC)
+        cases = [(_stencil(), {"n": n}) for n in (64, 64, 128)]
+        cases += [(_looped(lambda n: n), {"n": n}) for n in (4, 400, 4, 4.0)]
+        for kernel in chol.build_kernels():
+            for off in (0, 8, 16, 8):
+                cases.append((kernel, {"b0": off, "bi0": off, "bj0": 0, "bk0": off}))
+        for kernel, scalars in cases:
+            fresh = KernelCostModel(SPEC)
+            assert warm(kernel, 7, Dim3(8, 8), scalars) == fresh(
+                kernel, 7, Dim3(8, 8), scalars
+            )
+            assert warm.thread_cost(kernel, scalars) == fresh.thread_cost(kernel, scalars)
+
+    def test_offsets_outside_loop_bounds_share_one_walk(self, monkeypatch):
+        from repro.workloads.cholesky import build_gemm_kernel
+
+        model = KernelCostModel(SPEC)
+        walks = self._count_walks(model, monkeypatch)
+        gemm = build_gemm_kernel(64, 8)
+        for bi0 in (8, 16, 24):
+            model(gemm, 1, Dim3(8, 8), {"bi0": bi0, "bj0": 0, "bk0": 0})
+        assert walks == ["gemm_tile"]
+
+    def test_loop_bound_values_are_keyed_by_type_and_value(self, monkeypatch):
+        model = KernelCostModel(SPEC)
+        walks = self._count_walks(model, monkeypatch)
+        k = _looped(lambda n: n)
+        for n in (4, 400, 4, 4.0, 400):
+            model.thread_cost(k, {"n": n})
+        assert len(walks) == 3  # 4, 400, 4.0
+
+    def test_unhashable_scalar_is_costed_without_the_memo(self):
+        import numpy as np
+
+        k = _looped(lambda n: n)
+        model = KernelCostModel(SPEC)
+        assert model.thread_cost(k, {"n": np.array(40)}) == model.thread_cost(k, {"n": 40})
